@@ -8,6 +8,7 @@
 #include <queue>
 #include <stdexcept>
 
+#include "common/fnv.hpp"
 #include "maps/perf_bounds.hpp"
 
 namespace rw::ert {
@@ -91,21 +92,6 @@ RunMetrics TenantStats::to_metrics() const {
               static_cast<double>(fingerprint % 1000000));
   return m;
 }
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 Status validate_jobspec(const JobSpec& spec, std::size_t pool_capacity) {
   if (spec.graph.tasks().empty())
@@ -495,11 +481,11 @@ void Service::finish_job_locked(std::size_t tenant_idx, std::uint64_t seq) {
   if (!res.deadline_met) ++t.stats.deadline_misses;
   t.stats.latencies.push_back(latency);
   std::uint64_t h = t.stats.fingerprint;
-  h = fnv_mix(h, res.sequence);
-  h = fnv_mix(h, res.cores);
-  h = fnv_mix(h, res.started);
-  h = fnv_mix(h, res.finished);
-  h = fnv_mix(h, res.metrics.makespan);
+  h = fnv::fold_word(h, res.sequence);
+  h = fnv::fold_word(h, res.cores);
+  h = fnv::fold_word(h, res.started);
+  h = fnv::fold_word(h, res.finished);
+  h = fnv::fold_word(h, res.metrics.makespan);
   t.stats.fingerprint = h;
 
   complete(run.job.node, std::move(res));

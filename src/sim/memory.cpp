@@ -90,10 +90,7 @@ Region& MemorySystem::region_for(Addr a, std::uint64_t len, CoreId core,
                 static_cast<unsigned long long>(len)));
 }
 
-void MemorySystem::notify(const MemAccess& acc) {
-  for (auto& o : observers_)
-    if (o) o(acc);
-}
+void MemorySystem::notify(const MemAccess& acc) { observers_(acc); }
 
 std::uint64_t MemorySystem::read_u64(CoreId core, Addr a) {
   Region& r = region_for(a, 8, core, /*is_write=*/false);

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/callback_list.hpp"
 #include "common/ids.hpp"
 #include "common/units.hpp"
 #include "sim/kernel.hpp"
@@ -108,12 +109,13 @@ class MemorySystem {
 
   /// Observers run synchronously on every access (debugger watchpoints,
   /// race detector). Return value ignored; observers may stop the kernel.
+  /// The token removes exactly this observer.
   using Observer = std::function<void(const MemAccess&)>;
-  std::size_t add_observer(Observer fn) {
-    observers_.push_back(std::move(fn));
-    return observers_.size() - 1;
+  using ObserverToken = CallbackList<Observer>::Token;
+  ObserverToken add_observer(Observer fn) {
+    return observers_.add(std::move(fn));
   }
-  void clear_observers() { observers_.clear(); }
+  void remove_observer(ObserverToken token) { observers_.remove(token); }
 
   /// Raw (unobserved, zero-latency) access for loaders and checkers.
   void poke(Addr a, std::span<const std::uint8_t> in);
@@ -156,7 +158,7 @@ class MemorySystem {
   Tracer& tracer_;
   PerfSink* perf_ = nullptr;
   std::vector<Region> regions_;
-  std::vector<Observer> observers_;
+  CallbackList<Observer> observers_;
   std::vector<std::uint32_t> core_tiles_;  // empty == untiled, no guard
   bool enforce_locality_ = false;
   // Atomic only because two tiles may fault locally at the same instant;

@@ -10,7 +10,8 @@
 #include <functional>
 #include <string>
 #include <utility>
-#include <vector>
+
+#include "common/callback_list.hpp"
 
 namespace rw::sim {
 
@@ -23,9 +24,13 @@ class Signal {
   [[nodiscard]] bool level() const { return level_; }
   [[nodiscard]] std::uint64_t toggle_count() const { return toggles_; }
 
+  /// The token removes exactly this observer.
   using Observer = std::function<void(const Signal&, bool old_level)>;
-  void add_observer(Observer fn) { observers_.push_back(std::move(fn)); }
-  void clear_observers() { observers_.clear(); }
+  using ObserverToken = CallbackList<Observer>::Token;
+  ObserverToken add_observer(Observer fn) {
+    return observers_.add(std::move(fn));
+  }
+  void remove_observer(ObserverToken token) { observers_.remove(token); }
 
   /// Drive the signal; observers run only on actual level changes.
   void set(bool level) {
@@ -33,8 +38,7 @@ class Signal {
     const bool old = level_;
     level_ = level;
     ++toggles_;
-    for (auto& o : observers_)
-      if (o) o(*this, old);
+    observers_(*this, old);
   }
 
   void raise() { set(true); }
@@ -50,7 +54,7 @@ class Signal {
   std::string name_;
   bool level_;
   std::uint64_t toggles_ = 0;
-  std::vector<Observer> observers_;
+  CallbackList<Observer> observers_;
 };
 
 }  // namespace rw::sim

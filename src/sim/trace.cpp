@@ -1,5 +1,6 @@
 #include "sim/trace.hpp"
 
+#include "common/fnv.hpp"
 #include "common/strings.hpp"
 
 namespace rw::sim {
@@ -34,6 +35,40 @@ std::string TraceEvent::to_string() const {
                    trace_kind_name(kind), core_str.c_str(), label.c_str(),
                    static_cast<unsigned long long>(a),
                    static_cast<unsigned long long>(b));
+}
+
+void TraceDigest::fold(TimePs time, TraceKind kind, CoreId core,
+                       std::string_view label, std::uint64_t a,
+                       std::uint64_t b) {
+  ++count_;
+  std::uint64_t h = hash_;
+  h = fnv::fold_word(h, time);
+  h = fnv::fold_word(h, static_cast<std::uint64_t>(kind));
+  h = fnv::fold_word(h, core.is_valid() ? core.value() : ~0ULL);
+  h = fnv::fold_bytes(h, label);
+  h = fnv::fold_word(h, a);
+  hash_ = fnv::fold_word(h, b);
+}
+
+void TraceDigest::attach(Tracer& tracer) {
+  detach();
+  tracer.digests_.push_back(this);
+  tracer_ = &tracer;
+}
+
+void TraceDigest::detach() {
+  if (tracer_ == nullptr) return;
+  std::erase(tracer_->digests_, this);
+  tracer_ = nullptr;
+}
+
+Tracer::~Tracer() {
+  for (TraceDigest* d : digests_) d->tracer_ = nullptr;
+}
+
+void Tracer::publish(TraceEvent ev) {
+  listeners_(ev);
+  if (enabled_) events_.push_back(std::move(ev));
 }
 
 }  // namespace rw::sim

@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/callback_list.hpp"
 #include "common/ids.hpp"
 #include "common/units.hpp"
 
@@ -52,32 +54,77 @@ struct TraceEvent {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Append-only trace buffer with an optional live listener (the debugger
-/// hooks in here for watchpoints and scripted assertions).
+class Tracer;
+
+/// Seed of every trace digest. It is the decimal FNV-1a offset basis with
+/// its last digit dropped; kept so fingerprints stay comparable across
+/// versions.
+inline constexpr std::uint64_t kTraceDigestSeed = 1469598103934665603ULL;
+
+/// A digest slot: the running FNV-1a fold of one tracer's event stream
+/// (time, kind, core, label, a, b of every event, plus the event count).
+/// Tracer::record folds into each attached slot straight from its
+/// arguments; no TraceEvent is built for it. A slot detaches itself when
+/// destroyed and is detached by its tracer if the tracer dies first, so
+/// either may outlive the other. The slot is written by the thread that
+/// records on its tracer (one tile's thread on a tiled platform).
+class TraceDigest {
+ public:
+  TraceDigest() = default;
+  ~TraceDigest() { detach(); }
+  TraceDigest(const TraceDigest&) = delete;
+  TraceDigest& operator=(const TraceDigest&) = delete;
+
+  /// Fold every later event recorded on `tracer` (detaches first).
+  void attach(Tracer& tracer);
+  void detach();
+
+  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+
+  /// Out of line on purpose: inlined, the unrolled fold bloated every
+  /// record() site (GCC 12 -O3 gave MemorySystem::write_u64 a 376-byte
+  /// spill frame) on the simulator's hottest paths.
+  void fold(TimePs time, TraceKind kind, CoreId core, std::string_view label,
+            std::uint64_t a, std::uint64_t b);
+
+ private:
+  friend class Tracer;
+  Tracer* tracer_ = nullptr;
+  std::uint64_t hash_ = kTraceDigestSeed;
+  std::uint64_t count_ = 0;
+};
+
+/// Trace fan-out. Every event is folded into the attached digest slots
+/// (the ExecutionRecorder's per-tile fingerprints); a TraceEvent is built
+/// only when a live listener (the debugger) or buffer retention
+/// (set_enabled(true)) asks for one. With neither, record() builds
+/// nothing.
 class Tracer {
  public:
   using Listener = std::function<void(const TraceEvent&)>;
+  using ListenerToken = CallbackList<Listener>::Token;
+
+  Tracer() = default;
+  ~Tracer();
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
 
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Live listener invoked synchronously on every event, even when buffer
-  /// retention is disabled. Returns a token for removal.
-  std::size_t add_listener(Listener fn) {
-    listeners_.push_back(std::move(fn));
-    return listeners_.size() - 1;
+  /// retention is disabled. The token removes exactly this listener.
+  ListenerToken add_listener(Listener fn) {
+    return listeners_.add(std::move(fn));
   }
-  void clear_listeners() { listeners_.clear(); }
+  void remove_listener(ListenerToken token) { listeners_.remove(token); }
 
-  void record(TraceEvent ev) {
-    for (auto& l : listeners_)
-      if (l) l(ev);
-    if (enabled_) events_.push_back(std::move(ev));
-  }
-
-  void record(TimePs time, TraceKind kind, CoreId core, std::string label,
+  void record(TimePs time, TraceKind kind, CoreId core, std::string_view label,
               std::uint64_t a = 0, std::uint64_t b = 0) {
-    record(TraceEvent{time, kind, core, std::move(label), a, b});
+    for (TraceDigest* d : digests_) d->fold(time, kind, core, label, a, b);
+    if (!enabled_ && listeners_.empty()) return;
+    publish(TraceEvent{time, kind, core, std::string(label), a, b});
   }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
@@ -94,9 +141,13 @@ class Tracer {
   }
 
  private:
+  friend class TraceDigest;
+  void publish(TraceEvent ev);
+
   bool enabled_ = false;
+  std::vector<TraceDigest*> digests_;
   std::vector<TraceEvent> events_;
-  std::vector<Listener> listeners_;
+  CallbackList<Listener> listeners_;
 };
 
 }  // namespace rw::sim

@@ -26,13 +26,16 @@ Debugger::Debugger(sim::Platform& platform) : platform_(platform) {
 }
 
 Debugger::~Debugger() {
-  // Leave the platform functional: drop our observers.
-  platform_.tracer().clear_listeners();
-  platform_.memory().clear_observers();
+  // Leave the platform functional: drop our hooks, and only ours (a
+  // recorder or race detector on the same platform keeps running).
+  platform_.tracer().remove_listener(trace_token_);
+  platform_.memory().remove_observer(mem_token_);
+  for (const auto& [sig, token] : signal_tokens_) sig->remove_observer(token);
 }
 
 void Debugger::arm_hooks() {
-  platform_.tracer().add_listener([this](const sim::TraceEvent& ev) {
+  sim::Tracer& tracer = platform_.tracer();
+  trace_token_ = tracer.add_listener([this](const sim::TraceEvent& ev) {
     if (ev.kind == sim::TraceKind::kComputeStart) {
       for (const auto& label : task_breaks_) {
         if (ev.label.find(label) != std::string::npos) {
@@ -44,7 +47,8 @@ void Debugger::arm_hooks() {
     }
   });
 
-  platform_.memory().add_observer([this](const sim::MemAccess& acc) {
+  sim::MemorySystem& memory = platform_.memory();
+  mem_token_ = memory.add_observer([this](const sim::MemAccess& acc) {
     for (const auto& w : mem_watches_) {
       if (acc.addr + acc.size <= w.addr || acc.addr >= w.addr + w.len)
         continue;
@@ -62,7 +66,8 @@ void Debugger::arm_hooks() {
 
   for (auto* periph : platform_.peripherals()) {
     for (auto* sig : periph->signals()) {
-      sig->add_observer([this, sig](const sim::Signal&, bool old_level) {
+      const auto token = sig->add_observer([this, sig](const sim::Signal&,
+                                                       bool old_level) {
         for (const auto& name : signal_watches_) {
           if (sig->name() == name) {
             request_stop(StopKind::kWatchpointSignal,
@@ -72,6 +77,7 @@ void Debugger::arm_hooks() {
           }
         }
       });
+      signal_tokens_.emplace_back(sig, token);
     }
   }
 }

@@ -41,6 +41,9 @@ struct StopInfo {
   std::string detail;
 };
 
+/// Hooks into the platform's tile-0 tracer, memory and peripheral signals;
+/// the destructor removes exactly those hooks, so other clients (a
+/// recorder, a race detector) keep running. Must not outlive the platform.
 class Debugger {
  public:
   explicit Debugger(sim::Platform& platform);
@@ -94,6 +97,10 @@ class Debugger {
   sim::Signal* find_signal(const std::string& name) const;
 
   sim::Platform& platform_;
+  sim::Tracer::ListenerToken trace_token_ = 0;
+  sim::MemorySystem::ObserverToken mem_token_ = 0;
+  std::vector<std::pair<sim::Signal*, sim::Signal::ObserverToken>>
+      signal_tokens_;
   StopInfo last_stop_;
   std::optional<StopInfo> pending_stop_;
 

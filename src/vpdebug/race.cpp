@@ -39,10 +39,14 @@ std::string races_to_json(const std::vector<RaceReport>& races) {
 
 RaceDetector::RaceDetector(sim::Platform& platform, sim::Addr base,
                            std::uint64_t len, DurationPs window)
-    : platform_(platform), base_(base), len_(len), window_(window) {
-  platform_.memory().add_observer(
-      [this](const sim::MemAccess& acc) { on_access(acc); });
-}
+    : platform_(platform),
+      token_(platform_.memory().add_observer(
+          [this](const sim::MemAccess& acc) { on_access(acc); })),
+      base_(base),
+      len_(len),
+      window_(window) {}
+
+RaceDetector::~RaceDetector() { platform_.memory().remove_observer(token_); }
 
 bool RaceDetector::core_holds_lock(sim::CoreId core) const {
   auto& sem = const_cast<sim::Platform&>(platform_).hwsem();

@@ -36,12 +36,17 @@ struct RaceReport {
 /// A full detector result as a JSON document: {races: [...]}.
 std::string races_to_json(const std::vector<RaceReport>& races);
 
+/// Observes the platform's memory; the destructor removes the observer,
+/// so the platform may run on without it. Must not outlive the platform.
 class RaceDetector {
  public:
   /// Watch [base, base+len). `window` is the temporal vicinity within
   /// which unsynchronized conflicting accesses are reported.
   RaceDetector(sim::Platform& platform, sim::Addr base, std::uint64_t len,
                DurationPs window = microseconds(1));
+  ~RaceDetector();
+  RaceDetector(const RaceDetector&) = delete;
+  RaceDetector& operator=(const RaceDetector&) = delete;
 
   [[nodiscard]] const std::vector<RaceReport>& races() const {
     return races_;
@@ -53,6 +58,7 @@ class RaceDetector {
   [[nodiscard]] bool core_holds_lock(sim::CoreId core) const;
 
   sim::Platform& platform_;
+  sim::MemorySystem::ObserverToken token_;
   sim::Addr base_;
   std::uint64_t len_;
   DurationPs window_;

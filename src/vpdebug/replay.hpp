@@ -25,10 +25,15 @@
 namespace rw::vpdebug {
 
 /// FNV-1a-folded digest of every trace event (time, kind, core, label,
-/// payloads) plus the event count, canonicalized per tile.
+/// payloads) plus the event count, canonicalized per tile. The folding
+/// itself happens in one sim::TraceDigest slot per tile, attached to the
+/// tile's tracer; the recorder reads and combines them. It detaches on
+/// destruction and may outlive its platform.
 class ExecutionRecorder {
  public:
   explicit ExecutionRecorder(sim::Platform& platform);
+  ExecutionRecorder(const ExecutionRecorder&) = delete;
+  ExecutionRecorder& operator=(const ExecutionRecorder&) = delete;
 
   /// Canonical digest: the tile-0 fold on an untiled platform, the
   /// tile-ordered combination of per-tile (digest, count) otherwise.
@@ -38,17 +43,11 @@ class ExecutionRecorder {
 
   [[nodiscard]] std::size_t tile_count() const { return slots_.size(); }
   [[nodiscard]] std::uint64_t tile_fingerprint(std::size_t t) const {
-    return slots_.at(t).hash;
+    return slots_.at(t).hash();
   }
 
  private:
-  struct Slot {
-    std::uint64_t hash = 1469598103934665603ULL;
-    std::uint64_t count = 0;
-  };
-
-  void fold(std::size_t tile, const sim::TraceEvent& ev);
-  std::vector<Slot> slots_;  // one per tile; each written by one tile only
+  std::vector<sim::TraceDigest> slots_;  // one per tile
 };
 
 /// Convenience: run `scenario` twice on freshly-built platforms and

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
+#include "common/fnv.hpp"
 #include "common/ids.hpp"
 #include "sim/trace.hpp"
 
@@ -80,6 +82,73 @@ TEST(Tracer, ListenersFireEvenWhenRetentionOff) {
   tracer.record(1, sim::TraceKind::kCustom, sim::CoreId{}, "y");
   EXPECT_EQ(tracer.events().size(), 1u);
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Tracer, RemoveListenerDropsOnlyThatListener) {
+  sim::Tracer tracer;
+  int a = 0, b = 0;
+  const auto ta = tracer.add_listener([&](const sim::TraceEvent&) { ++a; });
+  const auto tb = tracer.add_listener([&](const sim::TraceEvent&) { ++b; });
+  tracer.record(0, sim::TraceKind::kCustom, sim::CoreId{}, "x");
+  tracer.remove_listener(ta);
+  tracer.remove_listener(ta);  // stale token: no effect
+  tracer.record(1, sim::TraceKind::kCustom, sim::CoreId{}, "y");
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(b, 2);
+  // Tokens are never reused, so an old token cannot hit a new listener.
+  const auto tc = tracer.add_listener([&](const sim::TraceEvent&) { ++a; });
+  EXPECT_NE(tc, ta);
+  EXPECT_NE(tc, tb);
+}
+
+TEST(Tracer, DigestFoldsWithNoListenerOrRetention) {
+  sim::Tracer tracer;
+  sim::TraceDigest d;
+  d.attach(tracer);
+  tracer.record(5, sim::TraceKind::kMemRead, sim::CoreId{1}, "shm", 0x80, 9);
+  tracer.record(6, sim::TraceKind::kIrqRaise, sim::CoreId{}, "", 3);
+  EXPECT_TRUE(tracer.events().empty());
+  EXPECT_EQ(d.count(), 2u);
+
+  // The fold, spelled out: time, kind, core (~0 when invalid), label
+  // bytes, a, b, each word as 8 little-endian bytes.
+  auto word = [](std::uint64_t h, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * fnv::kPrime;
+    return h;
+  };
+  std::uint64_t h = sim::kTraceDigestSeed;
+  h = word(h, 5);
+  h = word(h, static_cast<std::uint64_t>(sim::TraceKind::kMemRead));
+  h = word(h, 1);
+  for (const char c : std::string("shm"))
+    h = (h ^ static_cast<std::uint8_t>(c)) * fnv::kPrime;
+  h = word(h, 0x80);
+  h = word(h, 9);
+  h = word(h, 6);
+  h = word(h, static_cast<std::uint64_t>(sim::TraceKind::kIrqRaise));
+  h = word(h, ~0ULL);
+  h = word(h, 3);
+  h = word(h, 0);
+  EXPECT_EQ(d.hash(), h);
+}
+
+TEST(Tracer, DigestDetachesWhicheverSideDiesFirst) {
+  sim::TraceDigest outer;
+  {
+    sim::Tracer tracer;
+    outer.attach(tracer);
+    {
+      sim::TraceDigest inner;
+      inner.attach(tracer);
+      tracer.record(0, sim::TraceKind::kCustom, sim::CoreId{}, "a");
+      EXPECT_EQ(inner.count(), 1u);
+    }  // inner detaches itself
+    tracer.record(1, sim::TraceKind::kCustom, sim::CoreId{}, "b");
+    EXPECT_EQ(outer.count(), 2u);
+  }  // the tracer detaches outer
+  outer.detach();  // no-op, must not touch the dead tracer
+  EXPECT_EQ(outer.count(), 2u);
 }
 
 TEST(Tracer, FilterByKind) {

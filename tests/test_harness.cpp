@@ -38,6 +38,13 @@ TEST(SeedDerivation, SeparatorsPreventConcatenationAliasing) {
             Scenario::derive_seed(2, "s", "l", 0));
 }
 
+TEST(SeedDerivation, GoldenValue) {
+  // Pinned: every harness run's seed, and so every committed BENCH identity,
+  // derives from this function.
+  EXPECT_EQ(Scenario::derive_seed(42, "scenario", "label", 3),
+            0x1e86d8f7796b5a87ULL);
+}
+
 TEST(SeedDerivation, StableAcrossCalls) {
   Scenario s("stable");
   s.add_run("x", [](const RunContext&) { return RunMetrics{}; });

@@ -71,6 +71,18 @@ TEST_F(MemoryTest, ObserversSeeAllAccesses) {
   EXPECT_EQ(seen[1].value, 99u);
 }
 
+TEST_F(MemoryTest, RemoveObserverDropsOnlyThatObserver) {
+  mem.add_region("r", 0, 256, 1);
+  int a = 0, b = 0;
+  const auto ta = mem.add_observer([&](const MemAccess&) { ++a; });
+  mem.add_observer([&](const MemAccess&) { ++b; });
+  mem.write_u32(CoreId{0}, 16, 1);
+  mem.remove_observer(ta);
+  mem.write_u32(CoreId{0}, 16, 2);
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(b, 2);
+}
+
 TEST_F(MemoryTest, BlockTransfer) {
   mem.add_region("r", 0, 256, 1);
   std::vector<std::uint8_t> in{1, 2, 3, 4, 5};
